@@ -41,7 +41,6 @@ class FleetSpec:
     policy: str = "bwap"
     dwp: float = 0.8
     discipline: str = "best-rate"
-    scoring: str = "batched"
     tick_s: float = 5.0
     worker_counts: Tuple[int, ...] = (1, 2)
     max_pending_per_tick: int = 8
@@ -66,7 +65,6 @@ class FleetSpec:
             worker_counts=tuple(self.worker_counts),
             max_pending_per_tick=self.max_pending_per_tick,
             discipline=self.discipline,
-            scoring=self.scoring,
             recovery=self.recovery,
             max_retries=self.max_retries,
             retry_backoff_s=self.retry_backoff_s,
@@ -115,10 +113,9 @@ class FleetOutcome:
     #: Completed original work over submitted work (1.0 when nothing
     #: arrived).
     goodput: float = 1.0
-    # ---- incremental-scoring observability (zeros / 1 elsewhere) ----- #
+    # ---- incremental-scoring observability ------------------------- #
     memo_hits: int = 0
     bound_pruned: int = 0
-    shards_used: int = 1
 
     def to_payload(self) -> Dict[str, object]:
         payload: Dict[str, object] = {}
@@ -219,7 +216,6 @@ def outcome_from_result(result: FleetResult) -> FleetOutcome:
         ),
         memo_hits=result.memo_hits,
         bound_pruned=result.bound_pruned,
-        shards_used=result.shards_used,
     )
 
 
@@ -344,14 +340,6 @@ def run_fleet(jobs: Optional[int] = None) -> FleetReport:
             ),
         ),
         (
-            "poisson/inc",
-            FleetSpec(
-                mix=mix,
-                trace=TraceSpec(kind="poisson", rate_per_s=1.0, arrivals=arrivals),
-                scoring="incremental",
-            ),
-        ),
-        (
             "poisson/sim",
             FleetSpec(
                 mix=(("A", 1), ("B", 1)),
@@ -381,7 +369,6 @@ def run_fleet(jobs: Optional[int] = None) -> FleetReport:
         print(
             f"fleet[{label}]: {out.entries_scored} candidates scored, "
             f"{out.memo_hits} memo hits, {out.bound_pruned} pruned, "
-            f"{out.shards_used} shard(s), "
             f"{solves_per_arrival:.2f} solves/arrival",
             file=sys.stderr,
         )

@@ -7,14 +7,10 @@ admission, lost completions) against the scheduler's recovery policies
 fleet, reporting completion counts, P50/P99 slowdown, SLO-violation
 rate, goodput, and availability per cell.
 
-Two invariants are asserted on every run:
-
-* **Zero-fault identity** — a null (zero-intensity) plan produces
-  placements, completions, and utilisation *byte-identical* to a run
-  with no fault plan at all, in both the batched and scalar scoring
-  modes (the fault layer is gated entirely on the injector).
-* **Recovery invariance at zero intensity** — with nothing to recover
-  from, every recovery policy summarises identically.
+Every run asserts **recovery invariance at zero intensity**: with
+nothing to recover from, every recovery policy summarises identically.
+(Zero-fault identity — a null plan changes nothing, in both scoring
+modes — is pinned by ``tests/test_fleet_faults.py``.)
 
 Each cell is an independent :class:`FleetSpec`, so the matrix fans out
 over worker processes and persists in the result store; the whole
@@ -31,63 +27,13 @@ from typing import List, Optional, Tuple
 
 from repro.experiments.fleet import FleetOutcome, FleetSpec, run_fleet_specs
 from repro.experiments.report import format_table
-from repro.fleet.cluster import build_fleet
-from repro.fleet.faults import FleetFaultPlan, chaos_plan
-from repro.fleet.scheduler import RECOVERIES, FleetScheduler, SchedulerConfig
-from repro.workloads import TraceSpec, build_trace
+from repro.fleet.faults import chaos_plan
+from repro.fleet.scheduler import RECOVERIES
+from repro.workloads import TraceSpec
 
 
 def _quick_mode() -> bool:
     return bool(os.environ.get("BWAP_BENCH_QUICK"))
-
-
-def assert_zero_fault_identity(
-    mix: Tuple[Tuple[str, int], ...],
-    trace_spec: TraceSpec,
-    plan: FleetFaultPlan,
-    *,
-    seed: int = 42,
-    max_time: float = 1_000_000.0,
-) -> None:
-    """Assert a null-scaled ``plan`` changes nothing, in both scoring modes.
-
-    Compares the full :class:`~repro.fleet.scheduler.FleetResult` surface
-    that admission decisions flow through — placements, completions
-    (every field, exact float equality), utilisation, end time, solver
-    accounting — between ``faults=None`` and ``faults=plan.scaled(0)``,
-    in all three scoring modes (batched, scalar, incremental).
-    """
-    trace = build_trace(trace_spec)
-    scaled = plan.scaled(0.0)
-    if not scaled.is_null:
-        raise AssertionError("plan.scaled(0) must be a null plan")
-    for scoring in ("batched", "scalar", "incremental"):
-        cfg = SchedulerConfig(scoring=scoring)
-        base = FleetScheduler(
-            build_fleet(mix), trace, cfg, seed=seed, faults=None
-        ).run(max_time)
-        nulled = FleetScheduler(
-            build_fleet(mix), trace, cfg, seed=seed, faults=scaled
-        ).run(max_time)
-        for field_name in (
-            "placements",
-            "completions",
-            "utilization",
-            "end_time",
-            "ticks",
-            "solver_calls",
-            "entries_scored",
-            "requeues",
-            "stranded",
-            "availability",
-        ):
-            a = getattr(base, field_name)
-            b = getattr(nulled, field_name)
-            if a != b:
-                raise AssertionError(
-                    f"zero-fault identity broken ({scoring}): {field_name} "
-                    f"{a!r} != {b!r}"
-                )
 
 
 @dataclass
@@ -190,15 +136,6 @@ def run_fleet_chaos(
     # fleet busy (arrivals at ~1/s plus drain).
     plan = chaos_plan(num_machines, horizon_s=1.5 * arrivals, seed=23)
 
-    # The gating invariant first, on a fleet small enough that the scalar
-    # scoring mode stays cheap (the full-size equivalence is the fleet
-    # benchmark's job).
-    assert_zero_fault_identity(
-        (("A", 2), ("B", 2)),
-        TraceSpec(kind="poisson", rate_per_s=0.5, arrivals=24, seed=11),
-        plan,
-    )
-
     specs: List[FleetSpec] = []
     grid: List[Tuple[float, str]] = []
     for intensity in intensities:
@@ -210,10 +147,6 @@ def run_fleet_chaos(
                     trace=trace,
                     faults=None if scaled.is_null else scaled,
                     recovery=recovery,
-                    # Bitwise-identical to batched scoring (asserted
-                    # above) and an order of magnitude faster on cold
-                    # cells — the matrix dogfoods the incremental path.
-                    scoring="incremental",
                 )
             )
             grid.append((intensity, recovery))
@@ -231,10 +164,9 @@ def run_fleet_chaos(
     pruned = sum(out.bound_pruned for out in outcomes)
     solves = sum(out.solver_calls for out in outcomes)
     total_arrivals = sum(out.arrivals for out in outcomes)
-    shards = max(out.shards_used for out in outcomes)
     print(
         f"fleet-chaos: {scored} candidates scored, {hits} memo hits, "
-        f"{pruned} pruned, {shards} shard(s), "
+        f"{pruned} pruned, "
         f"{solves / max(total_arrivals, 1):.2f} solves/arrival",
         file=sys.stderr,
     )

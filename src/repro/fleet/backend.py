@@ -20,7 +20,7 @@ so execution fidelity is pluggable per run:
 Both backends score candidate placements with the *same* analytic
 consumer construction (:meth:`MachineBackend.candidate_consumers`), so a
 scheduling decision depends only on the solver — which is what makes the
-batched and scalar scoring paths bitwise-comparable.
+incremental and scalar scoring modes bitwise-comparable.
 """
 
 from __future__ import annotations
@@ -186,18 +186,6 @@ class _Placed:
 
 class MachineBackend(abc.ABC):
     """One fleet machine: occupancy bookkeeping plus an execution model."""
-
-    #: Whether :meth:`advance` consumes the scheduler's per-tick state
-    #: allocation (the fluid backend does; the simulator solves its own).
-    wants_state_alloc = False
-
-    #: Whether :meth:`admit` accepts a pre-built ``template`` of
-    #: ``(consumers, threads)`` from :meth:`candidate_consumers` (under
-    #: any app id) so the admit path can skip rebuilding it. Candidate
-    #: consumers are exact across arrivals of a workload kind — the
-    #: per-arrival work scaling touches only ``work_bytes``, which the
-    #: construction never reads.
-    accepts_admit_template = False
 
     def __init__(
         self,
@@ -452,6 +440,7 @@ class MachineBackend(abc.ABC):
         *,
         resume_frac: float = 0.0,
         attempts: int = 1,
+        template: Optional[Tuple[List[Consumer], int]] = None,
     ) -> None:
         """Start one app on ``workers`` at the current backend clock.
 
@@ -460,6 +449,13 @@ class MachineBackend(abc.ABC):
         only the remaining ``1 - resume_frac``, while SLO/goodput
         accounting stays against the full workload. ``0.0`` (the
         fault-free value) must leave the admit path bitwise-untouched.
+
+        ``template`` is an optional pre-built ``(consumers, threads)``
+        from :meth:`candidate_consumers` under any app id, which a
+        backend may reuse instead of rebuilding it. Candidate consumers
+        are exact across arrivals of a workload kind — the per-arrival
+        work scaling touches only ``work_bytes``, which the construction
+        never reads.
         """
 
     @abc.abstractmethod
@@ -467,13 +463,8 @@ class MachineBackend(abc.ABC):
         """Consumer set of the currently running apps (for scoring)."""
 
     @abc.abstractmethod
-    def advance(self, to: float, alloc: Optional[Allocation] = None) -> None:
-        """Advance the backend clock to ``to``, recording completions.
-
-        ``alloc`` is the allocation the scheduler already solved for the
-        current resident set (fleet-batched or scalar — bitwise equal),
-        so a backend that wants it never re-solves at tick boundaries.
-        """
+    def advance(self, to: float) -> None:
+        """Advance the backend clock to ``to``, recording completions."""
 
 
 class _FlowApp:
@@ -506,18 +497,13 @@ class FlowBackend(MachineBackend):
     (canonical weights blended at the configured DWP).
     """
 
-    wants_state_alloc = True
-    accepts_admit_template = True
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._cache = SolverCache(maxsize=64)
         self._flow: Dict[str, _FlowApp] = {}
         #: Single-slot resident-allocation cache keyed by
-        #: ``(state_version, capacity-scale bytes)``: the incremental
-        #: scheduler never hands the backend a pre-solved state
-        #: allocation, so repeated ticks over an unchanged resident set
-        #: would otherwise pay a consumer fingerprint per tick.
+        #: ``(state_version, capacity-scale bytes)``: repeated advances
+        #: over an unchanged resident set would otherwise pay a consumer
+        #: fingerprint each.
         self._solve_slot: Optional[Tuple[Tuple[int, Optional[bytes]], Allocation]] = None
 
     def admit(
@@ -589,7 +575,8 @@ class FlowBackend(MachineBackend):
         self._solve_slot = (key, alloc)
         return alloc
 
-    def advance(self, to, alloc=None):
+    def advance(self, to):
+        alloc = None
         while True:
             if not self._flow:
                 self.now = to
@@ -654,7 +641,18 @@ class SimBackend(MachineBackend):
         self.sim.start()
         self._tuners: Dict[str, object] = {}
 
-    def admit(self, app_id, workload, workers, arrival_s, *, resume_frac=0.0, attempts=1):
+    def admit(
+        self,
+        app_id,
+        workload,
+        workers,
+        arrival_s,
+        *,
+        resume_frac=0.0,
+        attempts=1,
+        template=None,
+    ):
+        del template  # deployment builds the app's own consumers
         threads = len(pin_threads(self.machine, workers))
         self._register(app_id, workload, workers, arrival_s, threads, attempts)
         # Checkpoint resume: deploy a shrunken copy of the workload so the
@@ -696,8 +694,7 @@ class SimBackend(MachineBackend):
                 out.extend(app.consumers())
         return out
 
-    def advance(self, to, alloc=None):
-        del alloc  # the simulator drives its own epoch allocations
+    def advance(self, to):
         if self._placed:
             # Live tuners migrate pages every epoch, so the resident
             # consumer mixes drift on every advance — never reuse scores.

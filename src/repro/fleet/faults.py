@@ -272,7 +272,7 @@ class FleetFaultInjector:
     the plan; only the admission-rejection and lost-completion draws are
     stateful, each on its own RNG stream spawned from the plan seed.
     Draws happen in scheduler decision order, which is identical in the
-    batched and scalar scoring modes — so fault realisations never
+    incremental and scalar scoring modes — so fault realisations never
     diverge between them.
     """
 

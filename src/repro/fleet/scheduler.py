@@ -1,62 +1,54 @@
-"""Trace-driven fleet scheduler with one vectorised solve per tick.
+"""Trace-driven fleet scheduler with incremental, delta-scored ticks.
 
-Each scheduling tick the scheduler admits arrivals, then scores every
-(pending app x machine x worker-set) candidate placement — plus one
-state entry per fluid machine with residents — in a **single**
-:func:`repro.memsim.solve_batch_fleet` call. The scalar scoring mode
-(``scoring="scalar"``) runs the identical decision procedure with one
-:func:`repro.memsim.solve` per entry; because the batched solver is
-bitwise-identical to the scalar one, both modes produce byte-for-byte
-the same placements, completions, and metrics — that equivalence is
-asserted by ``benchmarks/bench_fleet.py`` and ``tests/test_fleet.py``.
+Each scheduling tick the scheduler admits arrivals, then places pending
+apps greedily in arrival order: every (app x machine x worker-set)
+candidate is ranked by the configured discipline and the first-max
+wins. The production scoring mode (``scoring="incremental"``, the
+default) only solves what changed: candidate scores are memoised per
+machine keyed by its monotonic
+:attr:`~repro.fleet.backend.MachineBackend.state_version` (plus the
+arrival kind, worker set, and active capacity-scale key), candidates
+that provably cannot beat the incumbent best are pruned by a cheap
+residual-capacity bound (:func:`repro.memsim.candidate_rate_bound`),
+and the surviving solves of a tick share one
+:func:`repro.memsim.solve_batch_fleet_lazy` call.
+
+``scoring="scalar"`` is the reference: a plain loop that solves every
+candidate from scratch with one :func:`repro.memsim.solve` each. Because
+memoised scores replay bitwise, pruning only ever removes
+provably-losing candidates, and the batched solver is bitwise-identical
+to the scalar one, both modes produce byte-for-byte the same
+placements, completions, and SLO accounting — with and without chaos
+faults (asserted by ``tests/test_fleet_incremental.py`` and the fleet
+benchmarks).
 
 Between ticks the fleet skips idle spans in one jump (to the tick
 containing the next arrival, or to the horizon when only running apps
 remain), so sparse traces cost time proportional to events, not to
 simulated seconds.
 
-The third scoring mode (``scoring="incremental"``) runs the *same*
-decision procedure but only solves what changed: candidate scores are
-memoised per machine keyed by its monotonic
-:attr:`~repro.fleet.backend.MachineBackend.state_version` (plus the
-arrival kind, worker set, and active capacity-scale key), candidates
-that provably cannot beat the incumbent best are pruned by a cheap
-residual-capacity bound (:func:`repro.memsim.candidate_rate_bound`),
-and the surviving solves can be sharded across a process pool
-(``SchedulerConfig.shards`` / ``BWAP_FLEET_SHARDS``) with a
-deterministic in-order merge. Because memoised scores replay bitwise
-and pruning only ever removes provably-losing candidates, the
-incremental mode produces byte-for-byte the placements, completions,
-and SLO accounting of the exhaustive modes — with and without chaos
-faults (asserted by ``benchmarks/bench_fleet_scale.py`` and
-``tests/test_fleet_incremental.py``).
-
 Fault tolerance (``faults=`` / :mod:`repro.fleet.faults`): under a
 :class:`~repro.fleet.faults.FleetFaultPlan` the scheduler evicts the
 residents of crashing machines and requeues them with bounded
 exponential backoff (``recovery="requeue"``; ``"requeue+checkpoint"``
 additionally resumes from the last completed progress quantum), skips
-crashed and circuit-breaker-blocked machines when placing, re-scores
-degraded machines with scaled link capacities inside the same batched
-solve, and realises admission-rejection / lost-completion draws in
-decision order so both scoring modes see identical fault sequences.
-Every fault hook is gated on the injector: ``faults=None`` (or a null
-plan) leaves the fault-free run byte-for-byte what it was before the
-fault layer existed.
+crashed and circuit-breaker-blocked machines when placing, scores
+degraded machines with scaled link capacities, and realises
+admission-rejection / lost-completion draws in decision order so both
+scoring modes see identical fault sequences. Every fault hook is gated
+on the injector: ``faults=None`` (or a null plan) leaves the fault-free
+run byte-for-byte what it was before the fault layer existed.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.fleet.backend import (
-    Allocation,
     FleetCompletion,
     MachineBackend,
     machine_seed,
@@ -73,10 +65,10 @@ from repro.workloads.arrivals import ArrivalTrace
 #: Scheduling disciplines: how a pending app ranks its feasible candidates.
 DISCIPLINES = ("best-rate", "first-fit", "least-loaded")
 
-#: Scoring modes: one fleet-batched solve per tick, one scalar solve per
-#: candidate (the baseline the benchmark beats), or memo+prune+shard
-#: delta scoring ("incremental") — all three byte-for-byte identical.
-SCORINGS = ("batched", "scalar", "incremental")
+#: Scoring modes: one scalar solve per candidate (the reference the tests
+#: and benchmarks compare against), or memo+prune delta scoring
+#: ("incremental", the default) — byte-for-byte identical.
+SCORINGS = ("scalar", "incremental")
 
 #: Reserved app id of memoised candidate consumers. Trace app ids are
 #: ``"job<N>"`` and can never collide with it, so one cached consumer
@@ -87,32 +79,6 @@ _CAND_APP = "\x00cand"
 
 #: Sentinel score of a candidate eliminated by the rate bound.
 _PRUNED = object()
-
-#: Machines of the current shard pool's fleet, indexed by mid. Installed
-#: by :func:`_shard_init` in each worker; under the ``fork`` start method
-#: the objects (and their memoised ``MachineTables``) are inherited, not
-#: pickled, so workers score against the exact same tables.
-_SHARD_MACHINES: List = []
-
-
-def _shard_init(machines) -> None:
-    global _SHARD_MACHINES
-    _SHARD_MACHINES = machines
-
-
-def _shard_score(task):
-    """Score one contiguous chunk of solve rows in a pool worker.
-
-    ``task`` is ``(rows, with_scales)`` with rows of ``(mid, consumers,
-    scale)``. Chunk composition cannot change any entry's floats (every
-    batch element solves exactly as it would alone), so sharded scores
-    merge bitwise-identical to the unsharded solve.
-    """
-    rows, with_scales = task
-    entries = [(_SHARD_MACHINES[mid], cons) for mid, cons, _sc in rows]
-    scales = [sc for _mid, _cons, sc in rows] if with_scales else None
-    fb = solve_batch_fleet_lazy(entries, capacity_scales=scales)
-    return [fb.app_total_rate(i, _CAND_APP) for i in range(len(rows))]
 
 #: Recovery policies for work interrupted by a machine crash (or a lost
 #: completion report): strand it, requeue it from scratch, or requeue it
@@ -131,7 +97,7 @@ class SchedulerConfig:
     worker_counts: Tuple[int, ...] = (1, 2)
     max_pending_per_tick: int = 8
     discipline: str = "best-rate"
-    scoring: str = "batched"
+    scoring: str = "incremental"
     #: What happens to work a crash (or lost completion) interrupts.
     recovery: str = "requeue"
     #: Re-placements allowed per app beyond its first attempt.
@@ -148,12 +114,10 @@ class SchedulerConfig:
     #: Circuit-breaker cooldown after a restart (doubles per crash of the
     #: same machine); 0 disables the breaker.
     breaker_cooldown_s: float = 60.0
-    #: Process-pool width for ``scoring="incremental"`` solve sharding:
-    #: ``0`` resolves from ``BWAP_FLEET_SHARDS`` (default serial), ``1``
-    #: forces serial, ``N > 1`` forks a pool of N scorers. Purely an
-    #: execution knob — results are bitwise-identical at every setting,
-    #: so it is excluded from the run fingerprint.
-    shards: int = 0
+    #: Kept only so callers that still pin the serial setting
+    #: (``shards=1``) keep working: every solve runs in-process, so any
+    #: other value raises. Not part of the run fingerprint.
+    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.tick_s <= 0:
@@ -190,8 +154,10 @@ class SchedulerConfig:
             raise ValueError(
                 f"breaker_cooldown_s must be non-negative, got {self.breaker_cooldown_s}"
             )
-        if self.shards < 0:
-            raise ValueError(f"shards must be non-negative, got {self.shards}")
+        if self.shards != 1:
+            raise ValueError(
+                f"shards must be 1 (solves always run in-process), got {self.shards}"
+            )
 
 
 @dataclass
@@ -207,7 +173,8 @@ class FleetResult:
     placed: int
     pending_left: int
     ticks: int
-    #: Solver invocations: ticks in batched mode, entries in scalar mode.
+    #: Solver invocations: one per scored entry in scalar mode, at most
+    #: one batched call per tick in incremental mode.
     solver_calls: int
     entries_scored: int
     end_time: float
@@ -237,14 +204,12 @@ class FleetResult:
     availability: float = 1.0
     #: Seconds each machine spent crashed within ``[0, end_time]``.
     machine_downtime: Dict[int, float] = field(default_factory=dict)
-    # ---- incremental-scheduling observability (defaults on exhaustive
-    # ---- runs, where every candidate is re-scored from scratch) ------- #
+    # ---- incremental-scheduling observability (zeros on scalar runs,
+    # ---- where every candidate is re-scored from scratch) ------------- #
     #: Candidate scores replayed from the version-keyed memo.
     memo_hits: int = 0
     #: Candidates eliminated by the residual-capacity rate bound.
     bound_pruned: int = 0
-    #: Solve-shard pool width actually exercised (1 = serial).
-    shards_used: int = 1
 
 
 class _Pend:
@@ -364,7 +329,7 @@ class FleetScheduler:
         #: Worker-set choices keyed by (machine identity, occupied nodes,
         #: k) — pure and shared across ticks and same-class machines.
         self._worker_cache: Dict[Tuple[int, Tuple[int, ...], int], Tuple[int, ...]] = {}
-        # ---- incremental-scoring state (unused by exhaustive modes) --- #
+        # ---- incremental-scoring state (unused by the scalar mode) ---- #
         #: Candidate (consumers, threads) templates keyed by (machine
         #: identity, workers, arrival kind), built once under the
         #: reserved ``_CAND_APP`` id. Consumers depend on the workload
@@ -383,8 +348,6 @@ class FleetScheduler:
         self._empty_memo: Dict[tuple, float] = {}
         #: Rate upper bounds, same key space as :attr:`_empty_memo`.
         self._bound_memo: Dict[tuple, float] = {}
-        self._shard_count = 1
-        self._pool = None
         self.backends: List[MachineBackend] = [
             make_backend(
                 config.backend,
@@ -421,6 +384,63 @@ class FleetScheduler:
         # least-loaded: most free nodes first, then predicted rate.
         return (len(backend.free_nodes()), score, -backend.mid, -k)
 
+    def _eligible(self, now: float, health) -> List[MachineBackend]:
+        """Machines that may take a placement at ``now``: neither crashed
+        nor held out by the circuit breaker."""
+        injector = self.injector
+        if injector is None:
+            return self.backends
+        return [
+            b
+            for b in self.backends
+            if not injector.crashed_at(b.mid, now) and health.allows(b.mid, now)
+        ]
+
+    # ------------------------------------------------------------------ #
+    # Scalar reference
+    # ------------------------------------------------------------------ #
+
+    def _tick_scalar(self, batch, scales, now, health, place, counts) -> None:
+        """Reference tick: every candidate solved from scratch.
+
+        Apps are placed in arrival order. For each one, every unclaimed
+        eligible machine and feasible worker count is scored with one
+        :func:`solve` of the machine's residents plus the candidate, and
+        the first-max :meth:`_rank_key` wins. :meth:`_tick_incremental`
+        must reproduce these decisions bit for bit.
+        """
+        trace = self.trace
+        eligible = self._eligible(now, health)
+        claimed: set = set()
+        for r in batch:
+            app_id = trace.app_id(r.idx)
+            workload = trace.workload(r.idx)
+            best = None
+            for b in eligible:
+                if b.mid in claimed:
+                    continue
+                resident = b.resident_consumers() if b.num_live else []
+                free_len = len(b.free_nodes())
+                for k in self.config.worker_counts:
+                    if k > free_len:
+                        continue
+                    workers = pick_worker_nodes(
+                        b.machine, k, exclude=b.occupied_nodes()
+                    )
+                    cons, _threads, _tpn = b.candidate_consumers(
+                        app_id, workload, workers
+                    )
+                    alloc = solve(
+                        b.machine, resident + cons, capacity_scale=scales.get(b.mid)
+                    )
+                    counts["solver_calls"] += 1
+                    counts["entries_scored"] += 1
+                    key = self._rank_key(b, alloc.app_total_rate(app_id), k)
+                    if best is None or key > best[0]:
+                        best = (key, b, workers)
+            if best is not None and place(r, best[1], best[2]):
+                claimed.add(best[1].mid)
+
     # ------------------------------------------------------------------ #
     # Incremental scoring
     # ------------------------------------------------------------------ #
@@ -440,83 +460,24 @@ class FleetScheduler:
             self._cand_cache[key] = tpl
         return tpl
 
-    def _cand_consumers(self, backend: MachineBackend, workers, kind: int, p: int):
-        return self._cand_template(backend, workers, kind, p)[0]
+    def _tick_incremental(self, batch, scales, now, health, place, counts) -> None:
+        """One tick of the memo+prune decision procedure.
 
-    def _ensure_pool(self) -> bool:
-        if self._pool is not None:
-            return True
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            return False  # platform without fork: stay serial
-        self._pool = ctx.Pool(
-            self._shard_count,
-            initializer=_shard_init,
-            initargs=([b.machine for b in self.backends],),
-        )
-        return True
-
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def _solve_rows(self, rows: List[tuple], with_scales: bool, inc: dict) -> List[float]:
-        """Scores for solve rows of ``(mid, consumers, scale)``, sharding
-        across the process pool when wide enough to pay for the round
-        trip. In-order chunk merge + per-entry batch independence keep
-        every path bitwise-identical."""
-        eff = self._shard_count
-        if eff > 1 and len(rows) >= 2 * eff and self._ensure_pool():
-            chunk = (len(rows) + eff - 1) // eff
-            tasks = [
-                (rows[o : o + chunk], with_scales)
-                for o in range(0, len(rows), chunk)
-            ]
-            inc["solver_calls"] += len(tasks)
-            inc["sharded"] = True
-            scores: List[float] = []
-            for part in self._pool.map(_shard_score, tasks, chunksize=1):
-                scores.extend(part)
-            return scores
-        entries = [(self.backends[mid].machine, cons) for mid, cons, _sc in rows]
-        scales_list = [sc for _mid, _cons, sc in rows] if with_scales else None
-        fb = solve_batch_fleet_lazy(entries, capacity_scales=scales_list)
-        inc["solver_calls"] += 1
-        return [fb.app_total_rate(i, _CAND_APP) for i in range(len(rows))]
-
-    def _tick_incremental(
-        self, batch, scales, now, health, placements, pending, inflight, inc
-    ) -> None:
-        """One tick of the memo+prune+shard decision procedure.
-
-        Replays the exhaustive greedy exactly: apps are processed in
+        Replays :meth:`_tick_scalar` exactly: apps are processed in
         arrival order, and each app's first-max ``_rank_key`` scan sees
         the same candidate set with the same float scores — replayed
         from the version-keyed memo, freshly solved, or absent only when
         the rate bound proves the candidate loses to the incumbent.
         Machines claimed by earlier admissions this tick are skipped at
-        gather time (the exhaustive path skips them at scan time), and
-        unclaimed machines' occupancy never mutates mid-tick, so worker
-        sets and free-node counts match too.
+        admission time, and unclaimed machines' occupancy never mutates
+        mid-tick, so worker sets and free-node counts match too.
         """
         cfg = self.config
         injector = self.injector
-        trace = self.trace
-        times = trace.times
-        kind_idx = trace.kind_idx
-        need_score = cfg.discipline != "first-fit"
+        kind_idx = self.trace.kind_idx
         rank_key = self._rank_key
         empty_memo = self._empty_memo
-        eligible: List[MachineBackend] = []
-        for b in self.backends:
-            if injector is not None and (
-                injector.crashed_at(b.mid, now) or not health.allows(b.mid, now)
-            ):
-                continue
-            eligible.append(b)
+        eligible = self._eligible(now, health)
         resident_cache: Dict[int, list] = {}
         workers_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         claimed: set = set()
@@ -534,70 +495,40 @@ class FleetScheduler:
                 workers_cache[ck] = workers
             return workers
 
-        def admit(r, best_b: MachineBackend, best_workers: Tuple[int, ...]) -> None:
+        def admit(r, b: MachineBackend, workers: Tuple[int, ...]) -> None:
             p = r.idx
-            r.attempts += 1
-            if best_b.accepts_admit_template:
-                best_b.admit(
-                    trace.app_id(p),
-                    trace.workload(p),
-                    best_workers,
-                    float(times[p]),
-                    resume_frac=r.resume_frac,
-                    attempts=r.attempts,
-                    template=self._cand_template(
-                        best_b, best_workers, int(kind_idx[p]), p
-                    ),
-                )
-            else:
-                best_b.admit(
-                    trace.app_id(p),
-                    trace.workload(p),
-                    best_workers,
-                    float(times[p]),
-                    resume_frac=r.resume_frac,
-                    attempts=r.attempts,
-                )
-            claimed.add(best_b.mid)
-            placements.append((trace.app_id(p), best_b.mid, best_workers))
-            pending.retire(r)
-            if injector is not None:
-                inflight[trace.app_id(p)] = r
+            template = self._cand_template(b, workers, int(kind_idx[p]), p)
+            if place(r, b, workers, template):
+                claimed.add(b.mid)
 
-        if not need_score:
+        if cfg.discipline == "first-fit":
             # first-fit ranks on (-mid, -k) alone: the winner is the
             # lowest-mid feasible machine at its smallest feasible worker
             # count, found by an early-exit scan — zero solver work.
             for r in batch:
-                best = None
                 for b in eligible:
                     if b.mid in claimed:
                         continue
                     free_len = len(b.free_nodes())
                     ks = [k for k in cfg.worker_counts if k <= free_len]
                     if ks:
-                        best = (b, pick_workers(b, min(ks)))
+                        admit(r, b, pick_workers(b, min(ks)))
                         break
-                if best is None:
-                    continue
-                if injector is not None and injector.admission_rejected():
-                    inc["admission_rejections"] += 1
-                    continue
-                admit(r, best[0], best[1])
             return
 
         # --- Phase A: per-kind prefetch (memo replay + prune + ONE solve)
         # Candidate scores depend on the arrival only through its kind,
         # and no machine state changes until phase B admits — so one
         # scan per *distinct kind* covers every app in the batch, and
-        # all cold survivors across kinds share a single (possibly
-        # sharded) batch solve. Each kind ends up with its full
-        # candidate list sorted by descending rank key.
+        # all cold survivors across kinds share a single batch solve.
+        # Each kind ends up with its full candidate list sorted by
+        # descending rank key.
         last_at: Dict[int, int] = {}
         for j, r in enumerate(batch):
             last_at[int(kind_idx[r.idx])] = j
         kind_cands: Dict[int, List[tuple]] = {}
-        rows: List[tuple] = []
+        entries: List[tuple] = []
+        entry_scales: List[Optional[np.ndarray]] = []
         meta: List[tuple] = []
         for r in batch:
             p = r.idx
@@ -658,61 +589,50 @@ class FleetScheduler:
                 else:
                     thresh = None
                 for b, workers, k, scale_key, bucket, mkey in cold:
+                    cons = self._cand_template(b, workers, kind, p)[0]
+                    scale = scales.get(b.mid) if injector is not None else None
                     bkey = (id(b.machine), workers, kind, scale_key)
                     bound = self._bound_memo.get(bkey)
                     if bound is None:
                         bound = candidate_rate_bound(
-                            b.machine,
-                            self._cand_consumers(b, workers, kind, p),
-                            capacity_scale=(
-                                scales.get(b.mid) if injector is not None else None
-                            ),
+                            b.machine, cons, capacity_scale=scale
                         )
                         self._bound_memo[bkey] = bound
                     if thresh is not None and rank_key(b, bound, k) < thresh:
-                        inc["bound_pruned"] += 1
+                        counts["bound_pruned"] += 1
                         continue
                     res = resident_cache.get(b.mid)
                     if res is None:
                         res = b.resident_consumers() if b.num_live else []
                         resident_cache[b.mid] = res
-                    rows.append(
-                        (
-                            b.mid,
-                            res + self._cand_consumers(b, workers, kind, p),
-                            scales.get(b.mid) if injector is not None else None,
-                        )
-                    )
+                    entries.append((b.machine, res + cons))
+                    entry_scales.append(scale)
                     meta.append((kind, b, workers, k, bucket, mkey))
-        if rows:
-            inc["entries_scored"] += len(rows)
-            for (kind, b, workers, k, bucket, mkey), score in zip(
-                meta, self._solve_rows(rows, injector is not None, inc)
-            ):
+        if entries:
+            counts["solver_calls"] += 1
+            counts["entries_scored"] += len(entries)
+            fb = solve_batch_fleet_lazy(
+                entries,
+                capacity_scales=entry_scales if injector is not None else None,
+            )
+            for i, (kind, b, workers, k, bucket, mkey) in enumerate(meta):
+                score = fb.app_total_rate(i, _CAND_APP)
                 bucket[mkey] = score
                 kind_cands[kind].append((rank_key(b, score, k), b, workers))
         for cands in kind_cands.values():
             # Rank keys are unique, so the sort never compares backends.
             cands.sort(key=lambda c: c[0], reverse=True)
         # --- Phase B: sequential admission over the sorted lists --------
-        # The first unclaimed entry IS the exhaustive scan's first-max:
+        # The first unclaimed entry IS the scalar scan's first-max:
         # unclaimed machines' state is frozen within the tick, claimed
         # machines are skipped by both paths, and every unpruned
         # candidate is listed.
         for r in batch:
-            kind = int(kind_idx[r.idx])
-            best = None
-            for key, b, workers in kind_cands[kind]:
+            for _key, b, workers in kind_cands[int(kind_idx[r.idx])]:
                 if b.mid not in claimed:
-                    best = (b, workers)
+                    admit(r, b, workers)
                     break
-            if best is None:
-                continue  # no feasible machine this tick
-            if injector is not None and injector.admission_rejected():
-                inc["admission_rejections"] += 1
-                continue  # stays pending; retried next tick
-            admit(r, best[0], best[1])
-        inc["memo_hits"] += memo_hits
+        counts["memo_hits"] += memo_hits
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -733,8 +653,6 @@ class FleetScheduler:
         pending = _PendQueue()
         placements: List[Tuple[str, int, Tuple[int, ...]]] = []
         ticks = 0
-        solver_calls = 0
-        entries_scored = 0
         requeues = 0
         stranded = 0
         admission_rejections = 0
@@ -746,22 +664,43 @@ class FleetScheduler:
         seen_completions = [0] * len(self.backends)
         last_fault_t = -math.inf
         hb = Heartbeat(n, label="fleet")
-        shards = cfg.shards
-        if shards == 0:
-            try:
-                shards = max(1, int(os.environ.get("BWAP_FLEET_SHARDS", "1") or 1))
-            except ValueError:
-                shards = 1
-        self._shard_count = shards
-        #: Incremental-mode counters (stay zero on exhaustive runs).
-        inc = {
+        tick = (
+            self._tick_incremental
+            if cfg.scoring == "incremental"
+            else self._tick_scalar
+        )
+        #: Scoring counters (memo and bound counts stay zero on scalar runs).
+        counts = {
             "solver_calls": 0,
             "entries_scored": 0,
             "memo_hits": 0,
             "bound_pruned": 0,
-            "admission_rejections": 0,
-            "sharded": False,
         }
+
+        def place(r: _Pend, b: MachineBackend, workers, template=None) -> bool:
+            """Admit ``r`` onto ``b`` unless the lossy admission path
+            bounces it (it then stays pending and retries next tick)."""
+            nonlocal admission_rejections
+            if injector is not None and injector.admission_rejected():
+                admission_rejections += 1
+                return False
+            p = r.idx
+            app_id = self.trace.app_id(p)
+            r.attempts += 1
+            b.admit(
+                app_id,
+                self.trace.workload(p),
+                workers,
+                float(times[p]),
+                resume_frac=r.resume_frac,
+                attempts=r.attempts,
+                template=template,
+            )
+            placements.append((app_id, b.mid, workers))
+            pending.retire(r)
+            if injector is not None:
+                inflight[app_id] = r
+            return True
 
         def requeue_or_strand(rec: _Pend, total_frac: float) -> None:
             """Decide the fate of interrupted work under the recovery
@@ -819,146 +758,13 @@ class FleetScheduler:
                         b.mid, b.machine, now
                     )
 
-            state_allocs: Dict[int, Optional[Allocation]] = {}
             if injector is None:
                 batch = pending.batch(cfg.max_pending_per_tick)
             else:
                 batch = pending.batch(cfg.max_pending_per_tick, now)
-            if batch and cfg.scoring == "incremental":
+            if batch:
                 ticks += 1
-                # Delta path: memo-replay clean machines, bound-prune
-                # hopeless candidates, solve only the survivors. Leaves
-                # ``state_allocs`` empty — the fluid backend replays the
-                # identical allocation from its version-keyed solve slot.
-                self._tick_incremental(
-                    batch, scales, now, health, placements, pending, inflight, inc
-                )
-            elif batch:
-                ticks += 1
-                # --- Build the tick's entry list -------------------------
-                entries: List[tuple] = []  # (machine, consumers)
-                entry_scales: List[Optional[np.ndarray]] = []
-                state_rows: List[Tuple[int, int]] = []  # (mid, row)
-                resident = {
-                    b.mid: b.resident_consumers()
-                    for b in self.backends
-                    if b.num_live
-                }
-                for b in self.backends:
-                    if b.wants_state_alloc and b.num_live:
-                        state_rows.append((b.mid, len(entries)))
-                        entries.append((b.machine, resident[b.mid]))
-                        entry_scales.append(scales.get(b.mid))
-                workers_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-                # Same-class machines with the same worker set produce
-                # identical candidate consumers (weights, mixes, demands
-                # depend only on machine/workers/workload), so construct
-                # each distinct set once per tick and share the objects.
-                cons_cache: Dict[Tuple[int, Tuple[int, ...], int], list] = {}
-                cands: List[Tuple[_Pend, int, Tuple[int, ...], int]] = []
-                for r in batch:
-                    p = r.idx
-                    app_id = self.trace.app_id(p)
-                    workload = self.trace.workload(p)
-                    for b in self.backends:
-                        if injector is not None and (
-                            injector.crashed_at(b.mid, now)
-                            or not health.allows(b.mid, now)
-                        ):
-                            continue
-                        free = b.free_nodes()
-                        for k in cfg.worker_counts:
-                            if k > len(free):
-                                continue
-                            ck = (b.mid, k)
-                            workers = workers_cache.get(ck)
-                            if workers is None:
-                                wk = (id(b.machine), b.occupied_nodes(), k)
-                                workers = self._worker_cache.get(wk)
-                                if workers is None:
-                                    workers = pick_worker_nodes(
-                                        b.machine, k, exclude=wk[1]
-                                    )
-                                    self._worker_cache[wk] = workers
-                                workers_cache[ck] = workers
-                            key = (id(b.machine), workers, p)
-                            consumers = cons_cache.get(key)
-                            if consumers is None:
-                                consumers, _t, _tpn = b.candidate_consumers(
-                                    app_id, workload, workers
-                                )
-                                cons_cache[key] = consumers
-                            cands.append((r, b.mid, workers, len(entries)))
-                            entries.append(
-                                (b.machine, resident.get(b.mid, []) + consumers)
-                            )
-                            entry_scales.append(scales.get(b.mid))
-
-                # --- ONE vectorised solve for the whole tick -------------
-                entries_scored += len(entries)
-                if cfg.scoring == "batched":
-                    # Lazy batch: scores come straight off the rate
-                    # tensor; full Allocations are built only for state
-                    # rows and winning candidates (a handful per tick).
-                    fb = solve_batch_fleet_lazy(
-                        entries,
-                        capacity_scales=(
-                            entry_scales if injector is not None else None
-                        ),
-                    )
-                    solver_calls += 1
-                    get_alloc = fb.allocation
-                    get_score = fb.app_total_rate
-                else:
-                    allocs = [
-                        solve(m, cs, capacity_scale=sc)
-                        for (m, cs), sc in zip(entries, entry_scales)
-                    ]
-                    solver_calls += len(entries)
-                    get_alloc = allocs.__getitem__
-                    get_score = lambda row, aid: allocs[row].app_total_rate(aid)
-                for mid, row in state_rows:
-                    state_allocs[mid] = get_alloc(row)
-
-                # --- Greedy admissions in arrival order ------------------
-                claimed: set = set()
-                for r in batch:
-                    p = r.idx
-                    app_id = self.trace.app_id(p)
-                    best = None
-                    for rr, mid, workers, row in cands:
-                        if rr is not r or mid in claimed:
-                            continue
-                        score = get_score(row, app_id)
-                        key = self._rank_key(
-                            self.backends[mid], score, len(workers)
-                        )
-                        if best is None or key > best[0]:
-                            best = (key, mid, workers, row)
-                    if best is None:
-                        continue  # no feasible machine this tick
-                    if injector is not None and injector.admission_rejected():
-                        admission_rejections += 1
-                        continue  # stays pending; retried next tick
-                    _key, mid, workers, row = best
-                    backend = self.backends[mid]
-                    r.attempts += 1
-                    backend.admit(
-                        app_id,
-                        self.trace.workload(p),
-                        workers,
-                        float(times[p]),
-                        resume_frac=r.resume_frac,
-                        attempts=r.attempts,
-                    )
-                    claimed.add(mid)
-                    # The winning candidate allocation already includes the
-                    # admitted app, so it is the machine's new state.
-                    state_allocs[mid] = get_alloc(row)
-                    placements.append((app_id, mid, workers))
-                    pending.retire(r)
-                    if injector is not None:
-                        inflight[app_id] = r
+                tick(batch, scales, now, health, place, counts)
 
             # --- Advance the fleet clock ---------------------------------
             live = any(b.num_live for b in self.backends)
@@ -984,10 +790,7 @@ class FleetScheduler:
             for b in self.backends:
                 if injector is not None:
                     b.set_capacity_scale(scales.get(b.mid))
-                b.advance(
-                    next_time,
-                    state_allocs.get(b.mid) if b.wants_state_alloc else None,
-                )
+                b.advance(next_time)
             now = next_time
 
             # --- Lost completion reports ---------------------------------
@@ -1016,10 +819,6 @@ class FleetScheduler:
                     sum(len(b.completions) for b in self.backends), force=False
                 )
 
-        self._close_pool()
-        solver_calls += inc["solver_calls"]
-        entries_scored += inc["entries_scored"]
-        admission_rejections += inc["admission_rejections"]
         completions: List[FleetCompletion] = []
         for b in self.backends:
             completions.extend(b.completions)
@@ -1048,8 +847,8 @@ class FleetScheduler:
             placed=len(placements),
             pending_left=len(pending),
             ticks=ticks,
-            solver_calls=solver_calls,
-            entries_scored=entries_scored,
+            solver_calls=counts["solver_calls"],
+            entries_scored=counts["entries_scored"],
             end_time=end_time,
             utilization={b.mid: b.utilization(end_time) for b in self.backends},
             machine_class={node.mid: node.class_name for node in self.fleet},
@@ -1063,7 +862,6 @@ class FleetScheduler:
             completed_work_bytes=sum(c.work_bytes for c in completions),
             availability=availability,
             machine_downtime=machine_downtime,
-            memo_hits=inc["memo_hits"],
-            bound_pruned=inc["bound_pruned"],
-            shards_used=self._shard_count if inc["sharded"] else 1,
+            memo_hits=counts["memo_hits"],
+            bound_pruned=counts["bound_pruned"],
         )

@@ -161,6 +161,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
+    def test_cli_stdout_is_deterministic(self, capsys, monkeypatch):
+        """Wall time goes to stderr: two runs that take different times
+        print identical stdout."""
+        from repro.experiments import cli
+
+        clock = iter([0.0, 1.0, 10.0, 30.0])
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+        outs, errs = [], []
+        for _ in range(2):
+            assert cli.main(["machines"]) == 0
+            captured = capsys.readouterr()
+            outs.append(captured.out)
+            errs.append(captured.err)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[0] == "=== machines ==="
+        assert "machines: 1.0s" in errs[0]
+        assert "machines: 20.0s" in errs[1]
+
 
 class TestDWPProbeAblation:
     def test_reduced_scenario(self):

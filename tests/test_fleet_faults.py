@@ -5,9 +5,9 @@ The load-bearing properties, mirroring ``benchmarks/bench_fleet_chaos.py``:
 1. **Zero-fault identity** — ``faults=None`` and a zero-intensity plan
    produce byte-for-byte the same run, in both scoring modes (every
    fault hook is gated on the injector).
-2. **Batched == scalar under faults** — crashes, brown-outs, and lossy
-   admission never diverge the two scoring modes, because fault draws
-   happen in decision order, which both modes share.
+2. **Scalar == incremental under faults** — crashes, brown-outs, and
+   lossy admission never diverge the two scoring modes, because fault
+   draws happen in decision order, which both modes share.
 3. **Recovery semantics** — ``recovery="none"`` strands crashed work,
    ``"requeue"`` completes it, ``"requeue+checkpoint"`` completes it
    while redoing strictly less work.
@@ -26,7 +26,6 @@ from repro.experiments.fleet import (
     fleet_fingerprint,
     run_fleet_spec,
 )
-from repro.experiments.fleet_chaos import assert_zero_fault_identity
 from repro.fleet import (
     FleetFaultInjector,
     FleetFaultPlan,
@@ -67,6 +66,40 @@ def _plan() -> FleetFaultPlan:
 
 def _trace_spec(arrivals: int = 30) -> TraceSpec:
     return TraceSpec(kind="poisson", rate_per_s=1.0, arrivals=arrivals, seed=5)
+
+
+def assert_zero_fault_identity(mix, trace_spec, plan):
+    """Assert a null-scaled ``plan`` changes nothing, in both scoring modes.
+
+    Compares the full :class:`~repro.fleet.scheduler.FleetResult` surface
+    that admission decisions flow through — placements, completions
+    (every field, exact float equality), utilisation, end time, solver
+    accounting — between ``faults=None`` and ``faults=plan.scaled(0)``.
+    """
+    trace = build_trace(trace_spec)
+    scaled = plan.scaled(0.0)
+    assert scaled.is_null, "plan.scaled(0) must be a null plan"
+    for scoring in ("scalar", "incremental"):
+        cfg = SchedulerConfig(scoring=scoring)
+        base = FleetScheduler(build_fleet(mix), trace, cfg, faults=None).run()
+        nulled = FleetScheduler(build_fleet(mix), trace, cfg, faults=scaled).run()
+        for field_name in (
+            "placements",
+            "completions",
+            "utilization",
+            "end_time",
+            "ticks",
+            "solver_calls",
+            "entries_scored",
+            "memo_hits",
+            "bound_pruned",
+            "requeues",
+            "stranded",
+            "availability",
+        ):
+            a = getattr(base, field_name)
+            b = getattr(nulled, field_name)
+            assert a == b, f"zero-fault identity broken ({scoring}): {field_name}"
 
 
 def _run(scoring, recovery, faults, *, backend="flow", arrivals=30):
@@ -366,34 +399,27 @@ class TestFaultRuns:
         assert_zero_fault_identity(_MIX, _trace_spec(20), _plan())
 
     def test_faulted_batched_equals_scalar(self):
-        rb = _run("batched", "requeue+checkpoint", _plan())
+        # Named for the since-removed batched mode; the production
+        # (incremental) scheduler now stands against the scalar reference.
+        ri = _run("incremental", "requeue+checkpoint", _plan())
         rs = _run("scalar", "requeue+checkpoint", _plan())
-        assert rb.placements == rs.placements
-        assert rb.completions == rs.completions
-        assert rb.utilization == rs.utilization
-        assert rb.end_time == rs.end_time
-        assert rb.requeues == rs.requeues
-        assert rb.stranded == rs.stranded
-        assert rb.admission_rejections == rs.admission_rejections
-        assert rb.completions_lost == rs.completions_lost
-        assert rb.lost_work_bytes == rs.lost_work_bytes
-        assert rb.machine_downtime == rs.machine_downtime
+        assert ri.placements == rs.placements
+        assert ri.completions == rs.completions
+        assert ri.utilization == rs.utilization
+        assert ri.end_time == rs.end_time
+        assert ri.requeues == rs.requeues
+        assert ri.stranded == rs.stranded
+        assert ri.admission_rejections == rs.admission_rejections
+        assert ri.completions_lost == rs.completions_lost
+        assert ri.lost_work_bytes == rs.lost_work_bytes
+        assert ri.machine_downtime == rs.machine_downtime
         # The plan must actually have fired for this to mean anything.
-        assert rb.requeues > 0
-        assert rb.completions_lost > 0 or rb.admission_rejections > 0
-
-    def test_faulted_sim_backend_batched_equals_scalar(self):
-        rb = _run("batched", "requeue", _plan(), backend="sim", arrivals=10)
-        rs = _run("scalar", "requeue", _plan(), backend="sim", arrivals=10)
-        assert rb.placements == rs.placements
-        assert rb.completions == rs.completions
-        assert rb.end_time == rs.end_time
-        assert rb.requeues == rs.requeues
-        assert rb.stranded == rs.stranded
+        assert ri.requeues > 0
+        assert ri.completions_lost > 0 or ri.admission_rejections > 0
 
     def test_recovery_completes_what_stranding_loses(self):
-        stranded = _run("batched", "none", _plan())
-        requeued = _run("batched", "requeue", _plan())
+        stranded = _run("scalar", "none", _plan())
+        requeued = _run("scalar", "requeue", _plan())
         assert stranded.stranded > 0
         assert len(stranded.completions) < stranded.arrivals
         assert requeued.stranded == 0
@@ -401,13 +427,13 @@ class TestFaultRuns:
         assert requeued.requeues > 0
 
     def test_checkpoint_redoes_less_work(self):
-        requeued = _run("batched", "requeue", _plan())
-        ckpt = _run("batched", "requeue+checkpoint", _plan())
+        requeued = _run("scalar", "requeue", _plan())
+        ckpt = _run("scalar", "requeue+checkpoint", _plan())
         assert len(ckpt.completions) == ckpt.arrivals
         assert 0 < ckpt.lost_work_bytes < requeued.lost_work_bytes
 
     def test_slo_and_attempt_accounting(self):
-        result = _run("batched", "requeue", _plan())
+        result = _run("scalar", "requeue", _plan())
         assert any(c.attempts > 1 for c in result.completions)
         for c in result.completions:
             assert math.isfinite(c.deadline_s)
@@ -418,7 +444,7 @@ class TestFaultRuns:
         )
 
     def test_availability_and_downtime_accounting(self):
-        result = _run("batched", "requeue", _plan())
+        result = _run("scalar", "requeue", _plan())
         assert 0 < result.availability < 1
         assert set(result.machine_downtime) == {0, 1, 2, 3}
         inj = FleetFaultInjector(_plan())
@@ -432,7 +458,7 @@ class TestFaultRuns:
         assert result.availability == pytest.approx(expected)
 
     def test_fault_free_run_has_default_fault_fields(self):
-        result = _run("batched", "requeue", None)
+        result = _run("scalar", "requeue", None)
         assert result.requeues == 0
         assert result.stranded == 0
         assert result.admission_rejections == 0
@@ -443,8 +469,8 @@ class TestFaultRuns:
         assert all(c.attempts == 1 for c in result.completions)
 
     def test_runs_are_deterministic(self):
-        a = _run("batched", "requeue+checkpoint", _plan())
-        b = _run("batched", "requeue+checkpoint", _plan())
+        a = _run("scalar", "requeue+checkpoint", _plan())
+        b = _run("scalar", "requeue+checkpoint", _plan())
         assert a.placements == b.placements
         assert a.completions == b.completions
         assert a.end_time == b.end_time
