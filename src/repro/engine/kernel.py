@@ -38,6 +38,7 @@ calls that are guaranteed pure no-ops.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -48,6 +49,7 @@ from repro.memsim.contention import (
     Allocation,
     latency_path_rows,
     machine_tables,
+    pack_consumers,
     solve_batch_arrays,
 )
 from repro.memsim.flows import Consumer
@@ -71,8 +73,8 @@ class EpochWorkspace:
     __slots__ = (
         "apps",
         "lists",
+        "consumers",
         "num_pairs",
-        "keys",
         "node_idx",
         "threads",
         "demand",
@@ -94,32 +96,12 @@ class EpochWorkspace:
         self.apps = apps
         self.lists = lists
         consumers = [c for lst in lists for c in lst]
-        num_pairs = len(consumers)
-        self.num_pairs = num_pairs
-        self.keys: List[Tuple[str, int]] = []
-        self.node_idx = np.empty(num_pairs, dtype=np.intp)
-        self.threads = np.empty(num_pairs, dtype=float)
-        self.demand = np.empty(num_pairs, dtype=float)
-        self.write_frac = np.empty(num_pairs, dtype=float)
-        self.mix = np.zeros((num_pairs, num_nodes))
-        self.live = np.empty(num_pairs, dtype=bool)
-        for j, c in enumerate(consumers):
-            if not 0 <= c.node < num_nodes:
-                raise ValueError(f"consumer node {c.node} outside machine")
-            m = np.asarray(c.mix, dtype=float)
-            if len(m) > num_nodes:
-                raise ValueError(
-                    f"mix has {len(m)} entries for a {num_nodes}-node machine"
-                )
-            self.keys.append(c.key())
-            self.node_idx[j] = c.node
-            self.threads[j] = c.threads
-            self.demand[j] = c.demand
-            self.write_frac[j] = c.write_fraction
-            self.mix[j, : len(m)] = m
-            self.live[j] = not c.is_idle
-        if len(set(self.keys)) != num_pairs:
-            raise ValueError(f"duplicate consumer keys: {sorted(self.keys)}")
+        self.consumers = consumers
+        self.num_pairs = len(consumers)
+        self.node_idx, self.mix, self.demand, self.write_frac, self.live = (
+            a[0] for a in pack_consumers([consumers], num_nodes, len(consumers))
+        )
+        self.threads = np.array([c.threads for c in consumers], dtype=float)
         #: Pairs the reference loop computes slowdowns for (demand > 0);
         #: a superset of ``live`` (a demand-bearing pair whose mix is all
         #: zero is solver-dead but still gets the degenerate slowdown).
@@ -165,7 +147,7 @@ class EpochWorkspace:
                 mc_model.efficiency_floor,
                 mc_model.contention_decay,
                 mc_model.write_cost_factor,
-                tuple(self.keys),
+                tuple(c.key() for c in self.consumers),
                 payload.tobytes(),
             )
             self._digest = d
@@ -206,7 +188,11 @@ class EpochKernel:
     """Array-native implementation of one simulator epoch (plus strides)."""
 
     def __init__(self, sim):
-        self.sim = sim
+        # Weak: the simulator owns its kernel, and a strong back-reference
+        # would leave every finished simulator (page arrays, apps, cached
+        # allocations) as cyclic garbage that only the cycle collector
+        # frees, so peak memory would depend on when it happens to run.
+        self._sim = weakref.ref(sim)
         self._ws: Optional[EpochWorkspace] = None
         #: Single-slot solve memo for the cache-disabled configuration
         #: (mirrors the reference path's behaviour of re-solving each
@@ -221,7 +207,7 @@ class EpochKernel:
         lists = [a.consumers() for a in apps]
         ws = self._ws
         if ws is None or not ws.matches(apps, lists):
-            ws = EpochWorkspace(apps, lists, self.sim.machine.num_nodes)
+            ws = EpochWorkspace(apps, lists, self._sim().machine.num_nodes)
             self._ws = ws
         return ws
 
@@ -231,7 +217,7 @@ class EpochKernel:
         key: Optional[Tuple],
         cap_scale: Optional[np.ndarray],
     ) -> Tuple[Allocation, np.ndarray, np.ndarray]:
-        cache = self.sim.solver_cache
+        cache = self._sim().solver_cache
         if cache is not None:
             entry = cache.lookup(key)
             if entry is not None:
@@ -244,17 +230,7 @@ class EpochKernel:
     def _solve_fresh(
         self, ws: EpochWorkspace, cap_scale: Optional[np.ndarray]
     ) -> Tuple[Allocation, np.ndarray, np.ndarray]:
-        sim = self.sim
-        tables = machine_tables(sim.machine)
-        if not ws.live.any():
-            # Mirrors contention._empty_allocation for an all-idle set.
-            alloc = Allocation(
-                rates={k: 0.0 for k in ws.keys},
-                utilization={},
-                bottleneck={k: None for k in ws.keys},
-                capacities={},
-            )
-            return (alloc, np.zeros(ws.num_pairs), np.zeros(tables.num_res))
+        sim = self._sim()
         arrays = solve_batch_arrays(
             sim.machine,
             ws.node_idx[None, :],
@@ -264,31 +240,9 @@ class EpochKernel:
             ws.live[None, :],
             sim.mc_model,
             capacity_scale=cap_scale,
+            rows=[ws.consumers],
         )
-        rates_row = arrays.rates[0]
-        util_row = arrays.util[0]
-        # Rebuild the Allocation exactly as _allocation_from_batch does —
-        # dead slots keep their 0.0 rate / None bottleneck, dict insertion
-        # order is the full pair order.
-        res_keys = tables.res_keys
-        rates: Dict[Tuple[str, int], float] = {}
-        bottleneck: Dict[Tuple[str, int], Optional[Tuple]] = {}
-        for j, k in enumerate(ws.keys):
-            if ws.live[j]:
-                rates[k] = float(rates_row[j])
-                row = int(arrays.bottleneck_row[0, j])
-                bottleneck[k] = res_keys[row] if row >= 0 else None
-            else:
-                rates[k] = 0.0
-                bottleneck[k] = None
-        touched_rows = np.nonzero(arrays.touched[0])[0]
-        alloc = Allocation(
-            rates=rates,
-            utilization={res_keys[i]: float(util_row[i]) for i in touched_rows},
-            bottleneck=bottleneck,
-            capacities={res_keys[i]: float(arrays.caps[0, i]) for i in touched_rows},
-        )
-        return (alloc, rates_row, util_row)
+        return (arrays.allocation(0), arrays.rates[0], arrays.util[0])
 
     # ------------------------------------------------------------------ #
     # Derived per-epoch quantities
@@ -336,7 +290,7 @@ class EpochKernel:
         rates_row: np.ndarray,
         util_row: np.ndarray,
     ) -> List[_AppEpoch]:
-        sim = self.sim
+        sim = self._sim()
         tables = machine_tables(sim.machine)
         num_nodes = tables.num_nodes
 
@@ -416,7 +370,7 @@ class EpochKernel:
     def step(self, deadline: float) -> None:
         """Advance one epoch; then, if provably safe, stride over the
         following dormant epochs in one exact jump."""
-        sim = self.sim
+        sim = self._sim()
         apps = [a for a in sim._apps.values() if not a.finished]
 
         faults = sim.faults
@@ -524,7 +478,7 @@ class EpochKernel:
         bit-for-bit the epoch the reference would have run. Returns 0
         whenever any condition cannot be proven.
         """
-        sim = self.sim
+        sim = self._sim()
         dt = sim.epoch_s
 
         # 0. The next epoch must not be the reference's static
@@ -597,7 +551,7 @@ class EpochKernel:
         ``check_finished``) is skipped precisely because the budget proved
         each would leave no observable trace.
         """
-        sim = self.sim
+        sim = self._sim()
         dt = sim.epoch_s
         plan = []
         for rec in records:

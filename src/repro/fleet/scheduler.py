@@ -73,7 +73,7 @@ SCORINGS = ("scalar", "incremental")
 #: Reserved app id of memoised candidate consumers. Trace app ids are
 #: ``"job<N>"`` and can never collide with it, so one cached consumer
 #: list scores every arrival of a kind: the solver's rates are positional
-#: and :meth:`FleetBatch.app_total_rate` matches by id, so reading the
+#: and :meth:`BatchArrays.app_total_rate` matches by id, so reading the
 #: placeholder's total is bitwise the score the real app would get.
 _CAND_APP = "\x00cand"
 

@@ -20,12 +20,26 @@ Two allocation disciplines are provided:
   down proportionally. This preserves the relative asymmetry between pairs,
   which is the signal the canonical tuner needs.
 
-The progressive-filling solver is array-native: every solve runs over a
-dense ``(batch, resources, consumers)`` tensor with a *canonical* resource
-axis fixed per machine (see :class:`MachineTables`), so :func:`solve_batch`
-can evaluate many candidate consumer sets in one vectorised pass. The
-scalar :func:`solve` is the batch of one, which makes the scalar and
-batched paths bitwise-identical by construction.
+The progressive-filling solver is one array-native pipeline. Every solve
+runs over a dense ``(batch, resources, consumer-slots)`` tensor with a
+*canonical* resource axis fixed per machine (see :class:`MachineTables`):
+
+1. :func:`pack_consumers` validates consumer lists and lays them out one
+   slot per consumer, idle consumers as dead slots;
+2. ``_batch_setup`` builds each machine's incidence tensor and effective
+   capacities (MC de-rating, the one capacity-scale check);
+3. ``_progressive_fill`` runs the machine-independent filling loop;
+4. :class:`BatchArrays` holds the result and unpacks any row into an
+   :class:`Allocation` on demand.
+
+The public entry points are thin adapters over it: :func:`solve` is the
+batch of one, :func:`solve_batch` many consumer sets on one machine,
+:func:`solve_batch_fleet_lazy` / :func:`solve_batch_fleet` consumer sets on
+heterogeneous machines, :meth:`SolverCache.solve` a cached :func:`solve`,
+and :func:`solve_batch_arrays` the raw-array form for callers that pack
+their own slots (the batched analytic evaluator, the epoch kernel). Dead
+slots and padded resource rows are exact no-ops, so every entry point's
+result for one consumer set is bitwise what :func:`solve` returns for it.
 """
 
 from __future__ import annotations
@@ -238,7 +252,9 @@ class SolverCache:
         hit = self.lookup(key)
         if hit is not None:
             return hit
-        alloc = solve(machine, consumers, mc_model, capacity_scale=capacity_scale)
+        alloc = _solve_entries(
+            [(machine, consumers)], mc_model, [capacity_scale]
+        ).allocation(0)
         self.store(key, alloc)
         return alloc
 
@@ -478,33 +494,102 @@ def _axis_n_dot(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class BatchArrays:
-    """Raw array outputs of one batched progressive-filling solve.
+    """Result of one batched progressive-filling solve.
 
     ``rates``/``bottleneck_row`` are indexed ``(batch, consumer-slot)``;
-    ``load``/``caps``/``util``/``touched`` are ``(batch, resource-row)``
-    over the canonical axis of ``tables.res_keys``. ``bottleneck_row`` is
-    -1 for consumers frozen by their own demand cap (or never frozen).
+    ``caps``/``util``/``touched`` are ``(batch, resource-row)``, where the
+    first ``tables[b].num_res`` rows of batch row ``b`` are that machine's
+    canonical ``tables[b].res_keys`` axis (a fleet batch pads smaller
+    machines with untouched rows). ``bottleneck_row`` is -1 for consumers
+    frozen by their own demand cap, never frozen, or dead.
+
+    ``rows`` holds the consumer list each batch row was packed from (slot
+    ``j`` is ``rows[b][j]``, see :func:`pack_consumers`), or ``None`` for
+    a solve over raw arrays. With it, :meth:`allocation` and
+    :meth:`app_total_rate` read row ``b`` as exactly what
+    ``solve(machine, rows[b])`` returns, bitwise, so a caller that only
+    needs scores for most rows (the fleet scheduler: thousands of
+    candidates, a handful of winners) never builds their dicts.
     """
 
-    __slots__ = ("tables", "rates", "load", "caps", "util", "touched", "bottleneck_row")
+    __slots__ = (
+        "tables",
+        "rows",
+        "rates",
+        "caps",
+        "util",
+        "touched",
+        "bottleneck_row",
+        "_allocs",
+    )
 
     def __init__(
         self,
-        tables: MachineTables,
+        tables: Sequence[MachineTables],
+        rows: Optional[Sequence[Sequence[Consumer]]],
         rates: np.ndarray,
-        load: np.ndarray,
         caps: np.ndarray,
         util: np.ndarray,
         touched: np.ndarray,
         bottleneck_row: np.ndarray,
     ):
         self.tables = tables
+        self.rows = rows
         self.rates = rates
-        self.load = load
         self.caps = caps
         self.util = util
         self.touched = touched
         self.bottleneck_row = bottleneck_row
+        self._allocs: List[Optional[Allocation]] = [None] * len(tables)
+
+    def __len__(self) -> int:
+        return len(self._allocs)
+
+    def allocation(self, i: int) -> Allocation:
+        """Full :class:`Allocation` of batch row ``i`` (built on first use).
+
+        Dead slots keep their exact ``0.0`` rate and ``-1`` bottleneck row,
+        so every consumer is read straight off its slot; the resource maps
+        cover the touched rows only, which never include padding.
+        """
+        alloc = self._allocs[i]
+        if alloc is None:
+            res_keys = self.tables[i].res_keys
+            rates_row = self.rates[i]
+            bottleneck_row = self.bottleneck_row[i]
+            rates: Dict[Tuple[str, int], float] = {}
+            bottleneck: Dict[Tuple[str, int], Optional[ResourceKey]] = {}
+            for j, c in enumerate(self.rows[i]):
+                key = c.key()
+                rates[key] = float(rates_row[j])
+                row = int(bottleneck_row[j])
+                bottleneck[key] = res_keys[row] if row >= 0 else None
+            touched_rows = np.nonzero(self.touched[i])[0]
+            util_row = self.util[i]
+            caps_row = self.caps[i]
+            alloc = Allocation(
+                rates=rates,
+                utilization={res_keys[r]: float(util_row[r]) for r in touched_rows},
+                bottleneck=bottleneck,
+                capacities={res_keys[r]: float(caps_row[r]) for r in touched_rows},
+            )
+            self._allocs[i] = alloc
+        return alloc
+
+    def app_total_rate(self, i: int, app_id: str) -> float:
+        """Aggregate rate of ``app_id`` in batch row ``i``.
+
+        Sums the app's slot rates in consumer order — the same floats in
+        the same order as ``allocation(i).app_total_rate(app_id)`` (dead
+        slots contribute an exact ``+ 0.0``), so scores taken here and
+        scores taken from materialised allocations are interchangeable.
+        """
+        total = 0.0
+        row = self.rates[i]
+        for j, c in enumerate(self.rows[i]):
+            if c.app_id == app_id:
+                total += float(row[j])
+        return total
 
 
 def batch_coefficients(
@@ -542,6 +627,21 @@ def batch_coefficients(
     return A
 
 
+def _capacity_scale(scale: np.ndarray, num_res: int) -> np.ndarray:
+    """Validated per-resource capacity multiplier over a machine's
+    canonical axis: shape ``(num_res,)``, every entry positive. A positive
+    scale keeps an untouched row's infinite capacity infinite, which is
+    what lets the solver apply it before or after masking."""
+    scale = np.asarray(scale, dtype=float)
+    if scale.shape != (num_res,):
+        raise ValueError(
+            f"capacity_scale must have shape ({num_res},), got {scale.shape}"
+        )
+    if not (scale > 0.0).all():
+        raise ValueError("capacity_scale entries must be positive")
+    return scale
+
+
 def candidate_rate_bound(
     machine: Machine,
     consumers: Sequence[Consumer],
@@ -573,12 +673,7 @@ def candidate_rate_bound(
     caps_ub = t.static_caps.copy()
     caps_ub[t.mc_rows] = t.eff_table(mc_model).max(axis=1)
     if capacity_scale is not None:
-        scale = np.asarray(capacity_scale, dtype=float)
-        if scale.shape != (t.num_res,):
-            raise ValueError(
-                f"capacity_scale must have shape ({t.num_res},), got {scale.shape}"
-            )
-        caps_ub = caps_ub * scale
+        caps_ub = caps_ub * _capacity_scale(capacity_scale, t.num_res)
     # Mirror the fill loop's saturation slack so float-rounding overshoot
     # can never push a true score above the bound.
     slacked = caps_ub + _EPS * np.maximum(caps_ub, 1.0)
@@ -597,6 +692,50 @@ def candidate_rate_bound(
     return total * (1.0 + 1e-9) + 1e-12
 
 
+def pack_consumers(
+    rows: Sequence[Sequence[Consumer]], num_nodes: int, num_slots: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate consumer lists and pack them into dense slot arrays.
+
+    Returns ``(node_idx, mix, demand, write_fraction, live)`` over
+    ``(batch, slot)``: slot ``j`` of row ``b`` holds ``rows[b][j]``, mixes
+    are zero-padded to ``num_nodes``, and ``live`` is False for idle
+    consumers and for the padding past a row's end. Dead slots are exact
+    no-ops in the solver, so one slot per consumer keeps results bitwise
+    equal to a compacted layout while letting callers index slots by
+    consumer position. Raises :class:`ValueError` for a consumer node
+    outside the machine, a mix longer than the machine, or a consumer key
+    repeated within a row.
+    """
+    num_batch = len(rows)
+    node_idx = np.zeros((num_batch, num_slots), dtype=np.intp)
+    mix = np.zeros((num_batch, num_slots, num_nodes))
+    demand = np.zeros((num_batch, num_slots))
+    write_frac = np.zeros((num_batch, num_slots))
+    live = np.zeros((num_batch, num_slots), dtype=bool)
+    for b, consumers in enumerate(rows):
+        keys = set()
+        for j, c in enumerate(consumers):
+            if not 0 <= c.node < num_nodes:
+                raise ValueError(f"consumer node {c.node} outside machine")
+            m = c.mix
+            if len(m) > num_nodes:
+                raise ValueError(
+                    f"mix has {len(m)} entries for a {num_nodes}-node machine"
+                )
+            keys.add(c.key())
+            node_idx[b, j] = c.node
+            mix[b, j, : len(m)] = m
+            demand[b, j] = c.demand
+            write_frac[b, j] = c.write_fraction
+            live[b, j] = not c.is_idle
+        if len(keys) != len(consumers):
+            raise ValueError(
+                f"duplicate consumer keys: {sorted(c.key() for c in consumers)}"
+            )
+    return node_idx, mix, demand, write_frac, live
+
+
 def _batch_setup(
     machine: Machine,
     node_idx: np.ndarray,
@@ -606,15 +745,16 @@ def _batch_setup(
     live: np.ndarray,
     mc_model: MCModel,
     coefficients: Optional[np.ndarray] = None,
-    capacity_scale: Optional[np.ndarray] = None,
+    scales: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> Tuple[MachineTables, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-machine setup phase of a batched solve.
 
     Returns ``(tables, A, caps, touched, demand, live)`` — everything the
     machine-independent :func:`_progressive_fill` loop needs. Kept separate
-    from the fill so :func:`solve_batch_fleet` can run this once per
-    machine group, pad the outputs onto a fleet-wide axis, and fill the
-    whole fleet in one pass.
+    from the fill so :func:`_solve_entries` can run this once per machine
+    group, pad the outputs onto a fleet-wide axis, and fill the whole fleet
+    in one pass. ``scales`` holds one optional capacity scale per batch
+    row; an unscaled row is multiplied by exact ones.
     """
     t = machine_tables(machine)
     mix = np.asarray(mix, dtype=float)
@@ -662,15 +802,11 @@ def _batch_setup(
     caps[:, t.mc_rows] = t.eff_table(mc_model)[
         np.arange(num_nodes)[None, :], reader_counts
     ]
-    if capacity_scale is not None:
-        scale = np.asarray(capacity_scale, dtype=float)
-        if scale.shape != (num_res,):
-            raise ValueError(
-                f"capacity_scale must have shape ({num_res},), got {scale.shape}"
-            )
-        if (scale <= 0).any():
-            raise ValueError("capacity_scale entries must be positive")
-        caps = caps * scale
+    if scales is not None and any(s is not None for s in scales):
+        ones = np.ones(num_res)
+        caps = caps * np.stack(
+            [ones if s is None else _capacity_scale(s, num_res) for s in scales]
+        )
     caps = np.where(touched, caps, np.inf)
     return t, A, caps, touched, demand, live
 
@@ -681,14 +817,14 @@ def _progressive_fill(
     touched: np.ndarray,
     demand: np.ndarray,
     live: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Machine-independent max-min progressive-filling loop.
 
     Operates purely on dense ``(batch, resources, consumers)`` tensors;
     batch elements are independent, and padded resource rows (zero
     incidence, infinite capacity, untouched) and dead consumer slots are
     exact no-ops — which is what lets heterogeneous machine groups share
-    one fleet-wide tensor. Returns ``(rates, load, util, bottleneck_row)``.
+    one fleet-wide tensor. Returns ``(rates, util, bottleneck_row)``.
     """
     num_batch, num_res, num_slots = A.shape
     saturation_slack = _EPS * np.maximum(caps, 1.0)
@@ -751,7 +887,7 @@ def _progressive_fill(
         util = np.where(
             touched & (caps > 0), load / np.where(caps > 0, caps, 1.0), 0.0
         )
-    return rates, load, util, bottleneck_row
+    return rates, util, bottleneck_row
 
 
 def solve_batch_arrays(
@@ -765,6 +901,7 @@ def solve_batch_arrays(
     *,
     coefficients: Optional[np.ndarray] = None,
     capacity_scale: Optional[np.ndarray] = None,
+    rows: Optional[Sequence[Sequence[Consumer]]] = None,
 ) -> BatchArrays:
     """Vectorised max-min progressive filling over a batch of consumer sets.
 
@@ -781,7 +918,9 @@ def solve_batch_arrays(
     ``capacity_scale`` is an optional per-resource multiplier over the
     canonical ``machine_tables(machine).res_keys`` axis (fault plans use
     it to degrade link capacities mid-run); ``None`` leaves the solve
-    bit-for-bit unchanged.
+    bit-for-bit unchanged. ``rows`` names the consumer lists the arrays
+    were packed from by :func:`pack_consumers`; pass it to read results
+    through :meth:`BatchArrays.allocation`.
     """
     t, A, caps, touched, demand, live = _batch_setup(
         machine,
@@ -792,114 +931,71 @@ def solve_batch_arrays(
         live,
         mc_model,
         coefficients,
-        capacity_scale,
+        [capacity_scale] * len(mix),
     )
-    rates, load, util, bottleneck_row = _progressive_fill(
-        A, caps, touched, demand, live
-    )
-    return BatchArrays(t, rates, load, caps, util, touched, bottleneck_row)
+    rates, util, bottleneck_row = _progressive_fill(A, caps, touched, demand, live)
+    return BatchArrays([t] * len(rates), rows, rates, caps, util, touched, bottleneck_row)
 
 
-def _empty_allocation(consumers: Sequence[Consumer]) -> Allocation:
-    rates = {c.key(): 0.0 for c in consumers}
-    bottleneck: Dict[Tuple[str, int], Optional[ResourceKey]] = {
-        c.key(): None for c in consumers
-    }
-    return Allocation(
-        rates=rates, utilization={}, bottleneck=bottleneck, capacities={}
-    )
+def _solve_entries(
+    entries: Iterable[Tuple[Machine, Sequence[Consumer]]],
+    mc_model: MCModel,
+    scales: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> BatchArrays:
+    """The contention pipeline behind every consumer-level entry point.
 
-
-def _allocation_from_rows(
-    consumers: Sequence[Consumer],
-    live: Sequence[Consumer],
-    res_keys: Sequence[ResourceKey],
-    rates_row: np.ndarray,
-    bottleneck_row: np.ndarray,
-    touched_row: np.ndarray,
-    util_row: np.ndarray,
-    caps_row: np.ndarray,
-) -> Allocation:
-    """Unpack one batch element's dense rows into an :class:`Allocation`.
-
-    ``touched_row`` may be longer than ``res_keys`` (fleet tensors pad the
-    resource axis); padded rows are never touched, so the scan stays within
-    the machine's own canonical axis.
+    Validate and pack -> per-machine setup -> one progressive fill -> a
+    lazy :class:`BatchArrays` whose row ``i`` is bitwise what
+    ``solve(machine_i, consumers_i)`` returns alone. Entries are grouped
+    by machine (the memoised :class:`MachineTables` identity — fleet
+    machines of one class share one :class:`~repro.topology.machine.Machine`
+    object), and with more than one group the per-group setups are padded
+    onto one ``(entries, resources, slots)`` tensor: padded resource rows
+    are untouched with infinite capacity and zero incidence, and padded
+    slots are dead, so both are exact no-ops in :func:`_progressive_fill`.
+    ``scales`` holds one optional capacity scale per entry.
     """
-    rates: Dict[Tuple[str, int], float] = {c.key(): 0.0 for c in consumers}
-    bottleneck: Dict[Tuple[str, int], Optional[ResourceKey]] = {
-        c.key(): None for c in consumers
-    }
-    for j, c in enumerate(live):
-        rates[c.key()] = float(rates_row[j])
-        row = int(bottleneck_row[j])
-        if row >= 0:
-            bottleneck[c.key()] = res_keys[row]
-    touched_rows = np.nonzero(touched_row)[0]
-    utilization = {res_keys[i]: float(util_row[i]) for i in touched_rows}
-    capacities = {res_keys[i]: float(caps_row[i]) for i in touched_rows}
-    return Allocation(
-        rates=rates,
-        utilization=utilization,
-        bottleneck=bottleneck,
-        capacities=capacities,
-    )
+    machines: List[Machine] = []
+    rows: List[List[Consumer]] = []
+    for m, cs in entries:
+        machines.append(m)
+        rows.append(list(cs))
+    if scales is not None and len(scales) != len(rows):
+        raise ValueError(
+            f"capacity_scales has {len(scales)} entries "
+            f"for {len(rows)} solve entries"
+        )
+    tables = [machine_tables(m) for m in machines]
+    groups: Dict[int, List[int]] = {}
+    for i, t in enumerate(tables):
+        groups.setdefault(id(t), []).append(i)
+    num_slots = max((len(cs) for cs in rows), default=0)
+    setups = []
+    for idxs in groups.values():
+        machine = machines[idxs[0]]
+        packed = pack_consumers([rows[i] for i in idxs], machine.num_nodes, num_slots)
+        group_scales = None if scales is None else [scales[i] for i in idxs]
+        setups.append((idxs, _batch_setup(machine, *packed, mc_model, None, group_scales)))
 
-
-def _allocation_from_batch(
-    consumers: Sequence[Consumer],
-    live: Sequence[Consumer],
-    arrays: BatchArrays,
-    b: int,
-) -> Allocation:
-    return _allocation_from_rows(
-        consumers,
-        live,
-        arrays.tables.res_keys,
-        arrays.rates[b],
-        arrays.bottleneck_row[b],
-        arrays.touched[b],
-        arrays.util[b],
-        arrays.caps[b],
-    )
-
-
-def _live_consumers(machine: Machine, consumers: Sequence[Consumer]) -> List[Consumer]:
-    """Validated non-idle consumers of one solve input."""
-    num_nodes = machine.num_nodes
-    lv = [c for c in consumers if not c.is_idle]
-    keys = [c.key() for c in lv]
-    if len(set(keys)) != len(keys):
-        raise ValueError(f"duplicate consumer keys: {sorted(keys)}")
-    for c in lv:
-        if not 0 <= c.node < num_nodes:
-            raise ValueError(f"consumer node {c.node} outside machine")
-        if len(c.mix) > num_nodes:
-            raise ValueError(
-                f"mix has {len(c.mix)} entries for a {num_nodes}-node machine"
-            )
-    return lv
-
-
-def _pack_consumers(
-    lives: Sequence[Sequence[Consumer]], num_nodes: int, num_slots: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack validated consumer lists into dense padded slot arrays."""
-    num_batch = len(lives)
-    node_idx = np.zeros((num_batch, num_slots), dtype=np.intp)
-    mix = np.zeros((num_batch, num_slots, num_nodes))
-    demand = np.zeros((num_batch, num_slots))
-    write_frac = np.zeros((num_batch, num_slots))
-    live_mask = np.zeros((num_batch, num_slots), dtype=bool)
-    for b, lv in enumerate(lives):
-        for j, c in enumerate(lv):
-            node_idx[b, j] = c.node
-            m = np.asarray(c.mix, dtype=float)
-            mix[b, j, : len(m)] = m
-            demand[b, j] = c.demand
-            write_frac[b, j] = c.write_fraction
-            live_mask[b, j] = True
-    return node_idx, mix, demand, write_frac, live_mask
+    if len(setups) == 1:
+        _t, A, caps, touched, demand, live = setups[0][1]
+    else:
+        num_batch = len(rows)
+        num_res = max((t.num_res for t in tables), default=0)
+        A = np.zeros((num_batch, num_res, num_slots))
+        caps = np.full((num_batch, num_res), np.inf)
+        touched = np.zeros((num_batch, num_res), dtype=bool)
+        demand = np.zeros((num_batch, num_slots))
+        live = np.zeros((num_batch, num_slots), dtype=bool)
+        for idxs, (t, A_g, caps_g, touched_g, demand_g, live_g) in setups:
+            at = np.asarray(idxs, dtype=np.intp)
+            A[at, : t.num_res, :] = A_g
+            caps[at, : t.num_res] = caps_g
+            touched[at, : t.num_res] = touched_g
+            demand[at] = demand_g
+            live[at] = live_g
+    rates, util, bottleneck_row = _progressive_fill(A, caps, touched, demand, live)
+    return BatchArrays(tables, rows, rates, caps, util, touched, bottleneck_row)
 
 
 def solve_batch(
@@ -912,114 +1008,13 @@ def solve_batch(
     """Solve many independent consumer sets in one vectorised pass.
 
     Returns one :class:`Allocation` per input set, each bitwise-identical
-    to what :func:`solve` produces for that set alone — :func:`solve` *is*
-    the batch of one. Use this to score candidate placements (the oracle
-    search's neighbour sets, DWP probe curves, sweep grids) without paying
-    per-candidate solver setup.
+    to what :func:`solve` produces for that set alone. Use this to score
+    candidate placements (the oracle search's neighbour sets, DWP probe
+    curves, sweep grids) without paying per-candidate solver setup.
     """
-    batches = [list(cs) for cs in consumer_batches]
-    if not batches:
-        return []
-    lives = [_live_consumers(machine, cs) for cs in batches]
-    max_live = max(len(lv) for lv in lives)
-    if max_live == 0:
-        return [_empty_allocation(cs) for cs in batches]
-
-    num_batch = len(batches)
-    node_idx, mix, demand, write_frac, live_mask = _pack_consumers(
-        lives, machine.num_nodes, max_live
-    )
-    arrays = solve_batch_arrays(
-        machine,
-        node_idx,
-        mix,
-        demand,
-        write_frac,
-        live_mask,
-        mc_model,
-        capacity_scale=capacity_scale,
-    )
-    return [
-        _allocation_from_batch(batches[b], lives[b], arrays, b)
-        for b in range(num_batch)
-    ]
-
-
-class FleetBatch:
-    """Lazy view over one fleet-batched solve.
-
-    :meth:`allocation` materialises one entry into a full
-    :class:`Allocation` (memoised); :meth:`app_total_rate` reads an
-    application's aggregate rate straight off the dense rate tensor.
-    Both are bitwise-identical to ``solve(machine, consumers)`` run on
-    that entry alone, so a caller that only needs scores for most
-    entries (the fleet scheduler: thousands of candidates, a handful of
-    winners) skips the per-entry dict construction entirely.
-    """
-
-    __slots__ = (
-        "_pairs",
-        "_lives",
-        "_tables",
-        "_rates",
-        "_util",
-        "_bottleneck",
-        "_touched",
-        "_caps",
-        "_allocs",
-    )
-
-    def __init__(self, pairs, lives, tables, rates, util, bottleneck, touched, caps):
-        self._pairs = pairs
-        self._lives = lives
-        self._tables = tables
-        self._rates = rates
-        self._util = util
-        self._bottleneck = bottleneck
-        self._touched = touched
-        self._caps = caps
-        self._allocs: List[Optional[Allocation]] = [None] * len(pairs)
-
-    def __len__(self) -> int:
-        return len(self._allocs)
-
-    def allocation(self, i: int) -> Allocation:
-        """Full :class:`Allocation` of entry ``i`` (built on first use)."""
-        alloc = self._allocs[i]
-        if alloc is None:
-            if self._rates is None:  # every entry in the batch was idle
-                alloc = _empty_allocation(self._pairs[i][1])
-            else:
-                alloc = _allocation_from_rows(
-                    self._pairs[i][1],
-                    self._lives[i],
-                    self._tables[i].res_keys,
-                    self._rates[i],
-                    self._bottleneck[i],
-                    self._touched[i],
-                    self._util[i],
-                    self._caps[i],
-                )
-            self._allocs[i] = alloc
-        return alloc
-
-    def app_total_rate(self, i: int, app_id: str) -> float:
-        """Aggregate rate of ``app_id`` in entry ``i``.
-
-        Sums the app's live-consumer rates in consumer order — the same
-        floats in the same order as
-        ``allocation(i).app_total_rate(app_id)`` (idle consumers only
-        ever contribute an exact ``+ 0.0``), so scores taken here and
-        scores taken from materialised allocations are interchangeable.
-        """
-        if self._rates is None:
-            return 0.0
-        total = 0.0
-        row = self._rates[i]
-        for j, c in enumerate(self._lives[i]):
-            if c.app_id == app_id:
-                total += float(row[j])
-        return total
+    entries = [(machine, cs) for cs in consumer_batches]
+    batch = _solve_entries(entries, mc_model, [capacity_scale] * len(entries))
+    return [batch.allocation(i) for i in range(len(batch))]
 
 
 def solve_batch_fleet_lazy(
@@ -1027,92 +1022,23 @@ def solve_batch_fleet_lazy(
     mc_model: MCModel = DEFAULT_MC_MODEL,
     *,
     capacity_scales: Optional[Sequence[Optional[np.ndarray]]] = None,
-) -> FleetBatch:
+) -> BatchArrays:
     """Solve consumer sets on *heterogeneous* machines in one filling pass.
 
     The fleet scheduler scores every (app x machine x worker-set) candidate
     placement per tick; this entry point takes ``(machine, consumers)``
     pairs spanning different topologies and returns a lazy
-    :class:`FleetBatch`, each of whose entries is bitwise-identical to
-    ``solve(machine, consumers)`` run alone. Entries are grouped by machine
-    (the memoised :class:`MachineTables` identity — fleet machines of the
-    same class should share one :class:`~repro.topology.machine.Machine`
-    object), the per-group setup runs exactly as in :func:`solve_batch`,
-    and the groups are padded onto a fleet-wide
-    ``(entries, resources, consumers)`` tensor: padded resource rows are
-    untouched with infinite capacity and zero incidence and padded
-    consumer slots are dead, so both are exact no-ops in
-    :func:`_progressive_fill` and the stacking never perturbs a result.
+    :class:`BatchArrays`: read scores with
+    :meth:`~BatchArrays.app_total_rate` and build full allocations only
+    for the rows that need them with :meth:`~BatchArrays.allocation`.
 
     ``capacity_scales`` is an optional per-*entry* counterpart of
     :func:`solve`'s ``capacity_scale``: one ``(num_res,)`` multiplier
     array (or ``None``) per entry over that entry's own canonical
     resource axis — the fleet scheduler degrades individual machines'
-    links mid-run with it. A scaled entry is bitwise-identical to
-    ``solve(machine, consumers, capacity_scale=scale)`` run alone: the
-    multiply commutes with the untouched-row infinity masking (padded and
-    untouched rows are ``inf`` and stay ``inf`` under a positive scale),
-    and unscaled entries are never multiplied at all.
+    links mid-run with it.
     """
-    pairs = [(m, list(cs)) for m, cs in entries]
-    lives = [_live_consumers(m, cs) for m, cs in pairs]
-    if capacity_scales is not None and len(capacity_scales) != len(pairs):
-        raise ValueError(
-            f"capacity_scales has {len(capacity_scales)} entries "
-            f"for {len(pairs)} solve entries"
-        )
-    if not pairs or max(len(lv) for lv in lives) == 0:
-        return FleetBatch(pairs, lives, None, None, None, None, None, None)
-    max_live = max(len(lv) for lv in lives)
-
-    tables = [machine_tables(m) for m, _ in pairs]
-    groups: "OrderedDict[int, List[int]]" = OrderedDict()
-    for i, t in enumerate(tables):
-        groups.setdefault(id(t), []).append(i)
-
-    num_batch = len(pairs)
-    max_res = max(t.num_res for t in tables)
-    A_all = np.zeros((num_batch, max_res, max_live))
-    caps_all = np.full((num_batch, max_res), np.inf)
-    touched_all = np.zeros((num_batch, max_res), dtype=bool)
-    demand_all = np.zeros((num_batch, max_live))
-    live_all = np.zeros((num_batch, max_live), dtype=bool)
-    for idxs in groups.values():
-        machine = pairs[idxs[0]][0]
-        node_idx, mix, demand, write_frac, live_mask = _pack_consumers(
-            [lives[i] for i in idxs], machine.num_nodes, max_live
-        )
-        t, A, caps, touched, demand, live_mask = _batch_setup(
-            machine, node_idx, mix, demand, write_frac, live_mask, mc_model
-        )
-        rows = np.asarray(idxs, dtype=np.intp)
-        A_all[rows, : t.num_res, :] = A
-        caps_all[rows, : t.num_res] = caps
-        touched_all[rows, : t.num_res] = touched
-        demand_all[rows] = demand
-        live_all[rows] = live_mask
-
-    if capacity_scales is not None:
-        for i, scale in enumerate(capacity_scales):
-            if scale is None:
-                continue
-            num_res = tables[i].num_res
-            scale = np.asarray(scale, dtype=float)
-            if scale.shape != (num_res,):
-                raise ValueError(
-                    f"capacity_scales[{i}] must have shape ({num_res},), "
-                    f"got {scale.shape}"
-                )
-            if (scale <= 0).any():
-                raise ValueError(f"capacity_scales[{i}] entries must be positive")
-            caps_all[i, :num_res] *= scale
-
-    rates, _load, util, bottleneck_row = _progressive_fill(
-        A_all, caps_all, touched_all, demand_all, live_all
-    )
-    return FleetBatch(
-        pairs, lives, tables, rates, util, bottleneck_row, touched_all, caps_all
-    )
+    return _solve_entries(entries, mc_model, capacity_scales)
 
 
 def solve_batch_fleet(
@@ -1123,7 +1049,7 @@ def solve_batch_fleet(
 ) -> List[Allocation]:
     """Eager form of :func:`solve_batch_fleet_lazy`: one
     :class:`Allocation` per ``(machine, consumers)`` pair."""
-    batch = solve_batch_fleet_lazy(entries, mc_model, capacity_scales=capacity_scales)
+    batch = _solve_entries(entries, mc_model, capacity_scales)
     return [batch.allocation(i) for i in range(len(batch))]
 
 
@@ -1141,7 +1067,9 @@ def solve(
     consumer reaches its demand cap it freezes satisfied. Terminates after
     at most ``len(resources) + len(consumers)`` rounds.
     """
-    return solve_batch(machine, [consumers], mc_model, capacity_scale=capacity_scale)[0]
+    return _solve_entries(
+        [(machine, consumers)], mc_model, [capacity_scale]
+    ).allocation(0)
 
 
 def proportional_profile(

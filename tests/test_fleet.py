@@ -195,10 +195,9 @@ def _run_small_fleet(scoring, discipline="best-rate", backend="flow"):
     return FleetScheduler(fleet, trace, config, seed=11).run(200_000.0)
 
 
-class TestBatchedScalarEquivalence:
+class TestIncrementalScalarEquivalence:
     """The production (incremental) scheduler against the scalar
-    reference. The class keeps the name it had when the production
-    mode was the since-removed ``batched`` one."""
+    reference."""
 
     @pytest.mark.parametrize(
         "discipline", ["best-rate", "first-fit", "least-loaded"]

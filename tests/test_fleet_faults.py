@@ -398,9 +398,7 @@ class TestFaultRuns:
     def test_zero_fault_identity_both_modes(self):
         assert_zero_fault_identity(_MIX, _trace_spec(20), _plan())
 
-    def test_faulted_batched_equals_scalar(self):
-        # Named for the since-removed batched mode; the production
-        # (incremental) scheduler now stands against the scalar reference.
+    def test_faulted_incremental_equals_scalar(self):
         ri = _run("incremental", "requeue+checkpoint", _plan())
         rs = _run("scalar", "requeue+checkpoint", _plan())
         assert ri.placements == rs.placements

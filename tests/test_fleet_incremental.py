@@ -107,15 +107,13 @@ class TestIncrementalIdentity:
             outcome_from_result(ref), **mode_fields
         ) == dataclasses.replace(outcome_from_result(inc), **mode_fields)
 
-    # The three tests below keep the names they had when they compared
-    # against the since-removed batched mode; each now pins the
-    # identity with the scalar reference on inputs the grid above
-    # leaves out.
+    # The three tests below pin the identity with the scalar reference
+    # on inputs the grid above leaves out.
 
     @pytest.mark.parametrize(
         "discipline", ["best-rate", "first-fit", "least-loaded"]
     )
-    def test_matches_batched_per_discipline(self, discipline):
+    def test_incremental_per_discipline(self, discipline):
         # A backlogged queue on a fleet big enough for the memo and the
         # bound to engage: several apps claim machines in one tick, so
         # pruning must keep every candidate that could win once the
@@ -138,7 +136,7 @@ class TestIncrementalIdentity:
         _assert_identical(ref, inc)
         assert inc.memo_hits > 0
 
-    def test_matches_batched_under_chaos(self):
+    def test_incremental_under_chaos(self):
         """Full-intensity chaos on the backlogged queue: crashes and
         brown-outs land while apps wait, so requeued apps re-enter a
         tick in which other apps claim machines too."""

@@ -13,6 +13,8 @@ import pytest
 
 from repro.memsim.contention import (
     Allocation,
+    candidate_rate_bound,
+    machine_tables,
     solve,
     solve_batch,
     solve_batch_fleet,
@@ -187,3 +189,27 @@ class TestFleetBatchMatchesScalar:
         assert batch.app_total_rate(0, "app:0") == 0.0
         _assert_allocations_equal(batch.allocation(0), solve(m, idle))
         _assert_allocations_equal(batch.allocation(1), solve(m, []))
+
+
+class TestCapacityScaleValidation:
+    """Every entry point that takes a capacity scale runs the same check."""
+
+    @pytest.mark.parametrize("bad", ["shape", "zero", "negative"])
+    @pytest.mark.parametrize(
+        "entry", ["solve", "solve_batch_fleet_lazy", "candidate_rate_bound"]
+    )
+    def test_bad_scale_rejected(self, entry, bad):
+        machine = machine_a()
+        n = machine.num_nodes
+        consumers = [Consumer("app:0", 0, 8, np.full(n, 1.0 / n), float("inf"))]
+        num_res = machine_tables(machine).num_res
+        scale = np.ones(num_res + 1 if bad == "shape" else num_res)
+        if bad != "shape":
+            scale[num_res // 2] = 0.0 if bad == "zero" else -1.0
+        with pytest.raises(ValueError, match="capacity_scale"):
+            if entry == "solve":
+                solve(machine, consumers, capacity_scale=scale)
+            elif entry == "solve_batch_fleet_lazy":
+                solve_batch_fleet_lazy([(machine, consumers)], capacity_scales=[scale])
+            else:
+                candidate_rate_bound(machine, consumers, capacity_scale=scale)
